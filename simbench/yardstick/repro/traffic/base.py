@@ -1,0 +1,69 @@
+"""Traffic pattern abstractions.
+
+Two families (matching the paper's Sec. 4.3 / 4.4 split):
+
+- *synthetic* rate-driven patterns expose
+  ``pick_destination(src_node, rng) -> Optional[int]`` and are run
+  open-loop at a configured injection load;
+- *exchange* patterns expose ``node_messages(node) -> iterable of
+  (dst_node, size_bytes)`` and are simulated to completion.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, List, Optional, Protocol, Sequence, Tuple
+
+import numpy as np
+
+__all__ = [
+    "SyntheticTraffic",
+    "ExchangeTraffic",
+    "PermutationTraffic",
+]
+
+
+class SyntheticTraffic(Protocol):
+    """Rate-driven pattern: chooses a destination per generated packet."""
+
+    def pick_destination(self, src_node: int, rng) -> Optional[int]:
+        """Destination for the next packet of *src_node* (``None`` = idle)."""
+        ...
+
+
+class ExchangeTraffic(Protocol):
+    """Finite exchange: an ordered message list per node."""
+
+    def node_messages(self, node: int) -> Iterable[Tuple[int, int]]:
+        """Ordered ``(dst_node, size_bytes)`` messages for *node*."""
+        ...
+
+
+class PermutationTraffic:
+    """Fixed permutation traffic: node ``i`` always sends to ``dst[i]``.
+
+    Nodes whose entry is negative stay idle.  Used for the adversarial
+    worst-case patterns of Sec. 4.2 (which are all permutations, so the
+    pattern is never end-node limited).
+    """
+
+    def __init__(self, destinations: Sequence[int]):
+        self.destinations = np.asarray(destinations, dtype=np.int64)
+        n = len(self.destinations)
+        active = self.destinations[self.destinations >= 0]
+        if np.any(active >= n):
+            raise ValueError("destination out of range")
+        if np.any(self.destinations == np.arange(n)):
+            raise ValueError("self-destination in permutation")
+        if len(np.unique(active)) != len(active):
+            raise ValueError("destinations are not a (partial) permutation")
+
+    def pick_destination(self, src_node: int, rng) -> Optional[int]:
+        dst = int(self.destinations[src_node])
+        return dst if dst >= 0 else None
+
+    def as_messages(self, size_bytes: int) -> List[List[Tuple[int, int]]]:
+        """The same pattern as a single-message-per-node exchange."""
+        out: List[List[Tuple[int, int]]] = []
+        for src, dst in enumerate(self.destinations):
+            out.append([(int(dst), size_bytes)] if dst >= 0 else [])
+        return out
