@@ -46,7 +46,7 @@ __all__ = ["Job", "JobResult", "run_job", "CACHE_VERSION", "sim_config_dict"]
 #: v2: SimConfig grew ``check`` (the invariant checker), so the config
 #: dict -- and with it every content hash -- changed shape; checked and
 #: unchecked runs cache separately (a cached hit would skip verification).
-#: v3: SimConfig grew ``backend`` (object vs. batched engine).  Results
+#: v3: SimConfig grew ``backend`` (object vs. SoA engine).  Results
 #: are bit-identical across backends by contract, but the config dict
 #: changed shape, and per-backend caching keeps a conformance regression
 #: from hiding behind a stale cross-backend cache hit.
@@ -58,7 +58,10 @@ __all__ = ["Job", "JobResult", "run_job", "CACHE_VERSION", "sim_config_dict"]
 #: contract, but per-backend caching keeps a kernel conformance
 #: regression from hiding behind a stale cross-backend cache hit --
 #: same reasoning as v3.
-CACHE_VERSION = 5
+#: v6: the pure-Python SoA backend was retired; ``backend`` is
+#: ``"object"`` or ``"kernel"``.  Entries written under v5 may carry a
+#: backend that no longer exists, so none are reused.
+CACHE_VERSION = 6
 
 
 def sim_config_dict(config: SimConfig) -> Dict[str, Any]:

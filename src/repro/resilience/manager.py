@@ -19,7 +19,7 @@ crossbar into the divert path below.
 lazy.  Packets in input buffers, on wires, or mid-crossbar keep their
 (now stale) routes until the moment they would enter a dead port's
 output queue -- the ``_enter_oq`` seam in the object switch, the
-``_ENTER`` opcode in the batched loop -- and are rerouted or dropped
+``_ENTER`` opcode in the C kernel -- and are rerouted or dropped
 *there*, at their current router, against the fault state current at
 that instant.  This makes fail/recover races inherently correct: a
 packet whose target link recovered before its crossbar traversal
@@ -34,7 +34,7 @@ credit-based hardware where an in-flight flit still lands.
 
 Determinism: fail-time work iterates links, ports and VCs in sorted
 order; every event scheduled mirrors the object engine's sequence
-consumption exactly (the batched side uses the engine's cold-path
+consumption exactly (the kernel side uses the engine's cold-path
 transfer mirrors), and reroute draws come from one schedule-seeded RNG.
 The fault-schedule golden (tests/golden/fault_conformance.json) holds
 both backends to the same delivery fingerprint.
@@ -134,7 +134,7 @@ class FaultManager:
         if vec is None:
             self._drain_object(dead_ports)
         else:
-            self._drain_batched(vec, dead_ports)
+            self._drain_vec(vec, dead_ports)
 
     def _apply_recover(self, links: Tuple[Tuple[int, int], ...]) -> None:
         """Undo the markings.  Dead output queues are empty by
@@ -191,11 +191,11 @@ class FaultManager:
             for ovc in range(V):
                 router._admit_pending(out, ovc)
             for out_idx in sorted(moved):
-                # One seq each, mirrored by the batched _PWAKE push;
+                # One seq each, mirrored by the kernel's _PWAKE push;
                 # _try_transmit self-guards on a busy port.
                 engine.schedule(0.0, router._try_transmit, router.out[out_idx])
 
-    def _drain_batched(self, vec, dead_ports) -> None:
+    def _drain_vec(self, vec, dead_ports) -> None:
         st = vec.st
         V = st.V
         drop = self.policy == "drop"
@@ -267,7 +267,7 @@ class FaultManager:
         return nout, nvc
 
     def divert_tail(self, pv: int, pid: int, gid: int):
-        """Batched-backend divert, called from the ``_ENTER`` dead
+        """Kernel-backend divert, called from the ``_ENTER`` dead
         branch.  Returns ``None`` (dropped) or the ``(pv, gid)`` to
         enter instead; the caller re-admits parked inputs and performs
         the append/wake for the returned port."""

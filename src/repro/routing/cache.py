@@ -389,9 +389,9 @@ class RouteCache:
         channel exists).
 
         One flat list keeps the UGAL-L congestion probe -- the hottest
-        per-packet lookup the routing escape makes under the batched and
-        kernel backends -- to a single multiply-indexed load instead of
-        chasing a row list per call.
+        per-packet lookup the routing escape makes under the kernel
+        backend -- to a single multiply-indexed load instead of chasing
+        a row list per call.
         """
         topo = self.topology
         n = topo.num_routers

@@ -20,7 +20,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.orchestrate.job import Job
+from repro.orchestrate.job import Job, sim_config_dict
+from repro.sim.config import SimConfig
 
 __all__ = [
     "ServeError",
@@ -135,7 +136,17 @@ def job_from_request(body: Any) -> Job:
         )
     if kind != "probe" and not body.get("topology"):
         raise ValidationError(f"{kind} jobs require a non-empty 'topology' spec")
-    return Job.from_dict(dict(body))
+    body = dict(body)
+    if "config" in body:
+        # Build the SimConfig now so a bad field or value is a 400, not
+        # a job that fails later on a worker; storing its full dict
+        # makes a partial config hash like the defaults it implies.
+        try:
+            config = SimConfig(**body["config"])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"invalid simulator config: {exc}") from None
+        body["config"] = sim_config_dict(config)
+    return Job.from_dict(body)
 
 
 # --------------------------------------------------------------------------

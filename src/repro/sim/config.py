@@ -35,12 +35,10 @@ class SimConfig:
     check: bool = False
     #: Simulator backend.  ``"object"`` is the reference implementation
     #: (one Python object per router/NIC/port, one callback per event);
-    #: ``"batched"`` runs the same physics over struct-of-arrays state
-    #: with a flat typed-event loop that elides the per-event callback
-    #: machinery (repro.sim.vec); ``"kernel"`` is the batched backend
+    #: ``"kernel"`` runs the same physics over struct-of-arrays state
     #: with the event queue and dispatch loop compiled to C
-    #: (repro.sim.vec.kernel), falling back to ``"batched"`` with one
-    #: RuntimeWarning when no compiler/ABI is available.  All backends
+    #: (repro.sim.vec.kernel), falling back to ``"object"`` with one
+    #: RuntimeWarning when no compiler/ABI is available.  Both backends
     #: are bit-identical -- the golden conformance suite
     #: (tests/golden/conformance.json) is the gate -- so the choice is
     #: purely a speed/memory trade-off.
@@ -56,10 +54,15 @@ class SimConfig:
     fault_policy: str = "reroute"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("object", "batched", "kernel"):
+        if self.backend not in ("object", "kernel"):
+            retired = (
+                "; the pure-Python 'batched' backend was retired, use "
+                "'kernel' (which falls back to 'object' without a compiler)"
+                if self.backend == "batched" else ""
+            )
             raise ValueError(
                 f"unknown backend {self.backend!r} "
-                f"(expected 'object', 'batched' or 'kernel')"
+                f"(expected 'object' or 'kernel'){retired}"
             )
         if not isinstance(self.faults, tuple):
             # Frozen dataclass: normalize list inputs (JSON round-trips

@@ -53,20 +53,39 @@ class Network:
         # compiled routes carry their hop ports and never touch it.
         self._route_port_cache: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         self.tracer = None  # optional PacketTracer (see enable_trace)
-        self._vec = None  # BatchedEngine/KernelEngine for vec backends
+        self._vec = None  # KernelEngine when the kernel backend runs
         self._msg_track: Optional[Dict] = None  # per-message tracking (exchanges)
         self._delivery_listeners: list = []  # see add_delivery_listener
         self._experiment_ran = False  # one experiment per Network instance
 
         vc_capacity = config.buffer_packets_per_vc(self.num_vcs)
 
+        #: Which engine actually runs: ``config.backend``, except that a
+        #: requested kernel that cannot be built or loaded falls back to
+        #: ``"object"``.  Decided before any router is built, because a
+        #: checked object run needs the Checked* classes below.
+        self.backend_in_use = config.backend
+        if config.backend == "kernel":
+            from repro.sim.vec import kernel as _kernel_mod
+
+            if _kernel_mod.load_kernel() is None:
+                warnings.warn(
+                    "backend='kernel' requested but the compiled "
+                    f"kernel is unavailable ({_kernel_mod.load_error}); "
+                    "falling back to the object engine",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                self.backend_in_use = "object"
+        on_object = self.backend_in_use == "object"
+
         # With checking enabled, routers and NICs are built as Checked*
         # subclasses that notify the invariant checker around every
         # transition; the unchecked hot path pays nothing for this.
-        # The batched backend has no per-transition callbacks to hook,
-        # so its checker (repro.sim.vec.check) audits state instead and
-        # the plain classes suffice as the wiring template.
-        if config.check and config.backend == "object":
+        # The kernel has no per-transition callbacks to hook, so its
+        # checker (repro.sim.vec.check) audits state instead and the
+        # plain classes suffice as the wiring template.
+        if config.check and on_object:
             from repro.sim.invariants import CheckedNIC, CheckedRouter
 
             router_cls, nic_cls = CheckedRouter, CheckedNIC
@@ -133,48 +152,24 @@ class Network:
             self.nics.append(nic)
             self._eject_ports.append(deg + local)
 
-        if config.check and config.backend == "object":
+        if config.check and on_object:
             from repro.sim.invariants import InvariantChecker
 
             self.checker = InvariantChecker(self)
             self.checker.attach()
 
-        #: Which engine actually runs: ``config.backend`` unless the
-        #: compiled kernel was requested but unavailable, in which case
-        #: this records the ``"batched"`` fallback.
-        self.backend_in_use = config.backend
-
-        if config.backend in ("batched", "kernel"):
-            # Swap in the struct-of-arrays engine.  The object routers
-            # and NICs built above stay the wiring's single source of
-            # truth (the SoA state is flattened *from* them), but all
-            # event execution moves to the batched loop: the NIC list
-            # becomes driver-facing shims over the arrays and UGAL-L's
+        if not on_object:
+            # Swap in the kernel engine.  The object routers and NICs
+            # built above stay the wiring's single source of truth (the
+            # SoA state is flattened *from* them), but all event
+            # execution moves to the kernel: the NIC list becomes
+            # driver-facing shims over the arrays and UGAL-L's
             # congestion signal reads the flat per-port counters
-            # (instance attribute shadows the class method).  The
-            # kernel backend is the same loop compiled to C; since it
-            # shares the SoA state and the escape contract, the checker
-            # and fault machinery below apply to it unchanged.
-            from repro.sim.vec import BatchedEngine
+            # (instance attribute shadows the class method).
+            from repro.sim.vec.kernel import KernelEngine
             from repro.sim.vec.state import make_queue_len
 
-            self._vec = None
-            if config.backend == "kernel":
-                from repro.sim.vec import kernel as _kernel_mod
-
-                if _kernel_mod.load_kernel() is not None:
-                    self._vec = _kernel_mod.KernelEngine(self)
-                else:
-                    warnings.warn(
-                        "backend='kernel' requested but the compiled "
-                        f"kernel is unavailable ({_kernel_mod.load_error}); "
-                        "falling back to the pure-Python batched backend",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    self.backend_in_use = "batched"
-            if self._vec is None:
-                self._vec = BatchedEngine(self)
+            self._vec = KernelEngine(self)
             self.engine = self._vec
             self.nics = self._vec.nic_shims
             self.queue_len = make_queue_len(self._vec.st)
@@ -395,7 +390,7 @@ class Network:
         self.stats.set_window(warmup_ns, horizon)
 
         if self._vec is not None:
-            # Batched backend: pregenerate every node's injection
+            # Kernel backend: pregenerate every node's injection
             # stream in one pass (identical per-node RNG draws; see
             # BatchedEngine.setup_synthetic for the exactness argument).
             self._vec.setup_synthetic(

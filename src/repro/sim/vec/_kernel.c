@@ -1,30 +1,32 @@
-/* Compiled event kernel for the batched backend (repro.sim.vec.kernel).
+/* Compiled event kernel for the kernel backend (repro.sim.vec.kernel).
  *
  * This extension owns the pending-event set (a C binary heap of typed
  * event structs) and runs the hot opcode handlers -- RECV/ENTER,
  * PWAKE/NWAKE elided-event retries, VC round-robin arbitration and the
  * queue-length updates -- as straight C over the *existing*
  * ``SoAState`` Python lists and deques.  It escapes to the interpreter
- * only for the boundary events the Python loop also treats as escapes:
- * NIC sends (``make_packet`` routing + RNG), deliver callbacks, CALL
+ * only at the model's boundaries: NIC sends (``make_packet`` routing +
+ * RNG) and deliver callbacks when their fast paths are off, CALL
  * events and fault diverts.
  *
  * Exactness contract (see repro/sim/vec/engine.py for the full model):
- * every handler below is a line-for-line port of the corresponding
- * closure in ``BatchedEngine.run`` -- same sequence-reservation
- * increments in the same order, same lazy busy/credit comparisons,
- * same float additions producing timestamps.  The binary heap pops in
- * the identical global ``(time, seq)`` order as the calendar queue:
- * pushes are never at or before the currently executing key, and the
- * only same-key collisions are duplicate wake records whose relative
- * order is immaterial (a spurious wake re-checks state and no-ops).
+ * the handlers implement the object engine's switch and NIC pipeline
+ * with its bookkeeping events elided -- same sequence-reservation
+ * increments in the same order as the object engine's schedule()
+ * calls, lazy busy/credit comparisons at the reserved keys, the same
+ * float additions producing timestamps.  The golden conformance suite
+ * and the cross-backend fuzz harness (tests/) are the specification:
+ * both hold this file bit-identical to the object engine.  The binary
+ * heap pops in the global ``(time, seq)`` order: pushes are never at
+ * or before the currently executing key, and the only same-key
+ * collisions are duplicate wake records whose relative order is
+ * immaterial (a spurious wake re-checks state and no-ops).
  *
  * Around every escape the engine attributes the Python side reads
  * (``now``, ``_cs``, ``_seq``) are written out, and ``_seq`` is read
- * back afterwards, mirroring the nonlocal sync in the Python loop.
- * ``KernelEngine._push`` routes cold-path pushes (schedule/schedule_at,
- * NIC sends, fault drains) into this heap, so re-entrant scheduling
- * from inside an escape lands in the same queue.
+ * back afterwards.  ``KernelEngine._push`` routes Python-side pushes
+ * (schedule/schedule_at, NIC sends, fault drains) into this heap, so
+ * re-entrant scheduling from inside an escape lands in the same queue.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -551,8 +553,8 @@ sync_in(Ctx *c)
     return 0;
 }
 
-/* Escape: eng._nic_try_send(node, t, s).  Mirrors the GEN/NWAKE escape
- * in the Python loop, which syncs now/_seq (not _cs) around the call. */
+/* Escape: eng._nic_try_send(node, t, s).  Syncs now/_seq around the
+ * call; _cs is left as is (the send path takes the key as arguments). */
 static int
 escape_nic_send(Ctx *c, long node, double t, long long s)
 {
@@ -998,7 +1000,7 @@ err:
     return NULL;
 }
 
-/* -- fast-path: in-C NIC send (BatchedEngine._nic_try_send port) ----------- */
+/* -- fast-path: in-C NIC send (port of BatchedEngine._nic_try_send) ---- */
 
 static int
 fast_nic_send(Ctx *c, long node, double t, long long s)
@@ -1286,7 +1288,7 @@ nic_send(Ctx *c, long node, double t, long long s)
     return escape_nic_send(c, node, t, s);
 }
 
-/* -- handler helpers (ports of the BatchedEngine.run closures) ------------ */
+/* -- handler helpers (the object Router's transfer/transmit stages) ------- */
 
 static int try_transfer(Ctx *c, long in_gid, long vc, double t, long long s);
 
@@ -2173,8 +2175,8 @@ fail:
     failed = 1;
 
 sync:
-    /* Mirror the Python loop's ``finally``: write back clock, sequence
-     * counter and the executed-event total even on error. */
+    /* Write back clock, sequence counter and the executed-event total
+     * even on error, so the engine stays usable after an exception. */
     {
         PyObject *exc_type = NULL, *exc_val = NULL, *exc_tb = NULL;
         if (failed)
@@ -2352,7 +2354,7 @@ static PyObject *
 Kernel_events(Kernel *k, PyObject *Py_UNUSED(ignored))
 {
     /* All queued event records as engine-format tuples, in no
-     * particular order (audits; mirrors BatchedEngine.iter_pending). */
+     * particular order (audits: KernelEngine.iter_pending). */
     PyObject *out = PyList_New(k->size);
     if (out == NULL)
         return NULL;
@@ -2501,7 +2503,7 @@ static PyTypeObject KernelType = {
     .tp_basicsize = sizeof(Kernel),
     .tp_dealloc = (destructor)Kernel_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Compiled event heap + dispatch core for the batched backend.",
+    .tp_doc = "Compiled event heap + dispatch core for the kernel backend.",
     .tp_traverse = (traverseproc)Kernel_traverse,
     .tp_clear = (inquiry)Kernel_tp_clear,
     .tp_methods = Kernel_methods,
@@ -2582,7 +2584,7 @@ static PyMethodDef module_methods[] = {
 static struct PyModuleDef kernelmodule = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "Compiled event kernel for the batched simulator backend.",
+    .m_doc = "Compiled event kernel for the kernel simulator backend.",
     .m_size = -1,
     .m_methods = module_methods,
 };

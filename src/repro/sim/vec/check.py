@@ -1,8 +1,8 @@
-"""Invariant checking for the batched backend.
+"""Invariant checking for the kernel backend.
 
 The object backend's :class:`~repro.sim.invariants.InvariantChecker`
 shadows every router/NIC transition through Checked* subclasses; the
-batched backend has no per-transition callbacks to hook, so its checker
+kernel backend has no per-transition callbacks to hook, so its checker
 works from the two seams both backends share -- packet creation and
 delivery -- plus *full-state audits* that reconcile the SoA arrays, the
 pending-event heap and the statistics counters against each other.
@@ -23,7 +23,7 @@ Checked invariants:
   in-switch packets.
 - **Credit loops** (audits): for every channel VC,
   ``credits + pending credit arrivals + downstream buffered + on-link``
-  sums to the VC capacity (pending arrivals are the batched engine's
+  sums to the VC capacity (pending arrivals are the kernel's
   lazily-drained representation of the object engine's in-flight
   credits); NIC injection loops likewise sum to the port capacity.
 
@@ -31,11 +31,11 @@ Violations raise :class:`~repro.sim.invariants.InvariantViolation` with
 a state snapshot.  Audits run every ``AUDIT_PERIOD`` deliveries and at
 experiment end (``audit`` / ``verify_quiescent``, the same entry points
 the object checker exposes); they walk live state only and schedule no
-events, so checking cannot perturb event order -- a checked batched run
+events, so checking cannot perturb event order -- a checked kernel run
 produces the same fingerprint as an unchecked one.
 
-On the kernel backend, an attached checker also gates the C fast paths
-off (``KernelEngine._fastpath_spec`` requires ``net.checker is None``
+An attached checker also gates the kernel's C fast paths off
+(``KernelEngine._fastpath_spec`` requires ``net.checker is None``
 because the checker wraps both seams): checked kernel runs take the
 per-packet make_packet/deliver escapes, and the goldens pin that both
 routes produce identical fingerprints.
@@ -71,7 +71,7 @@ class _DeliveryLog:
 
 
 class BatchedChecker:
-    """Audit-based invariant checker for ``backend="batched"``."""
+    """Audit-based invariant checker for ``backend="kernel"``."""
 
     def __init__(self, net: "Network") -> None:
         self.net = net
@@ -98,7 +98,7 @@ class BatchedChecker:
     def fail(self, rule: str, message: str, **where) -> None:
         raise InvariantViolation(
             rule, message, time_ns=self.net.engine.now,
-            snapshot={"backend": "batched"}, **where,
+            snapshot={"backend": "kernel"}, **where,
         )
 
     # -- packet creation -------------------------------------------------------

@@ -1,24 +1,25 @@
-"""Compiled event kernel for the batched backend.
+"""Compiled event kernel: the ``"kernel"`` simulator backend.
 
 :class:`KernelEngine` subclasses :class:`~repro.sim.vec.engine.BatchedEngine`
-and replaces the pending-event calendar plus the CPython dispatch loop
-with a C extension (``repro/sim/vec/_kernel.c``): a binary heap of typed
-event structs and C opcode handlers over the *same* ``SoAState`` lists
-and deques the Python loop uses.  Everything else -- the SoA flattening,
-the NIC shims, synthetic pregeneration, the audit-based checker, the
-fault manager's cold-path mirrors -- is inherited unchanged, which is
-what keeps the kernel bit-identical to the other two backends (the
-golden conformance suite asserts it).
+and adds the event queue and the dispatch loop as a C extension
+(``repro/sim/vec/_kernel.c``): a binary heap of typed event structs and
+C opcode handlers over the ``SoAState`` lists and deques.  The SoA
+flattening, the NIC shims, synthetic pregeneration, the NIC send escape
+and the fault manager's cold-path mirrors are inherited from
+``BatchedEngine``; the audit-based checker (:mod:`repro.sim.vec.check`)
+reads the same state.  The golden conformance suite and the
+cross-backend fuzz harness hold the kernel bit-identical to the object
+engine.
 
 Ordering equivalence
 ====================
 
-The calendar queue and the heap pop in the same global ``(time, seq)``
-order: every push the handlers make is strictly after the currently
-executing key (sequence numbers only grow, timestamps are now + a
-positive latency), so a global-min pop sequence is unique up to ties --
-and the only same-key ties are duplicate wake records, which re-check
-state and no-op regardless of which copy runs first.
+The heap pops in the object engine's global ``(time, seq)`` order:
+every push the handlers make is strictly after the currently executing
+key (sequence numbers only grow, timestamps are now + a positive
+latency), so a global-min pop sequence is unique up to ties -- and the
+only same-key ties are duplicate wake records, which re-check state and
+no-op regardless of which copy runs first.
 
 Loading
 =======
@@ -27,12 +28,11 @@ Loading
 module (``pip install`` with a compiler present), then falls back to
 compiling the shipped C source at first use with ``cc -O2`` into a
 source-hash-keyed cache directory (``REPRO_KERNEL_CACHE``, default
-``~/.cache/repro-kernel``).  Set ``REPRO_NO_KERNEL=1`` to skip both and
-force the pure-Python batched engine -- CI uses this to keep the
-no-compiler fallback path green.  Any build/load failure is recorded in
-:data:`load_error` and surfaces as a single ``RuntimeWarning`` from
-:class:`~repro.sim.network.Network`, which then runs the batched
-backend instead.
+``~/.cache/repro-kernel``).  Set ``REPRO_NO_KERNEL=1`` to skip both --
+CI uses this to keep the no-compiler path green.  Any build/load
+failure is recorded in :data:`load_error` and surfaces as a single
+``RuntimeWarning`` from :class:`~repro.sim.network.Network`, which then
+runs the object engine instead.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def _reset_for_tests() -> None:
 
 
 class KernelEngine(BatchedEngine):
-    """BatchedEngine with the event queue and dispatch loop in C."""
+    """The SoA engine with its event queue and dispatch loop in C."""
 
     backend_name = "kernel"
 
@@ -264,10 +264,10 @@ class KernelEngine(BatchedEngine):
         else:
             super()._nic_try_send(node, t, s)
 
-    # Cold-path pushes (schedule/schedule_at, _nic_try_send, the fault
-    # manager's drain, setup_synthetic) all funnel through _push, so
-    # overriding it routes every event into the C heap -- including
-    # re-entrant scheduling from inside a Python escape.
+    # Python-side pushes (schedule/schedule_at, _nic_try_send, the
+    # fault manager's drain, setup_synthetic) all funnel through _push
+    # into the C heap -- including re-entrant scheduling from inside a
+    # Python escape.
     def _push(self, t, s, op, a, b, c) -> None:
         self._k.push(t, s, op, a, b, c)
 
@@ -280,10 +280,8 @@ class KernelEngine(BatchedEngine):
         return self._k.pending()
 
     def iter_pending(self) -> Iterator[tuple]:
+        """All queued event records, in no particular order (audits)."""
         return iter(self._k.events())
-
-    def _next_time(self) -> Optional[float]:
-        return self._k.peek_time()
 
     def kernel_stats(self) -> dict:
         """In-kernel event counts and the Python-escape time split."""
@@ -291,8 +289,12 @@ class KernelEngine(BatchedEngine):
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
-        # Same GC fencing as the Python loop: the kernel allocates event
-        # keys and credit tuples heavily but never cycles.
+        """Execute events in ``(time, seq)`` order; same contract as
+        :meth:`repro.sim.engine.Engine.run`."""
+        # The kernel allocates event keys and credit tuples heavily but
+        # never creates reference cycles, so the cyclic GC would only
+        # burn time tracing the large young containers.  Callbacks that
+        # do create cycles get them collected after re-enable.
         self._fp = self._fastpath_spec()
         gc_was = gc.isenabled()
         if gc_was:

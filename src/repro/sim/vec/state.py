@@ -1,4 +1,4 @@
-"""Struct-of-arrays simulation state for the batched backend.
+"""Struct-of-arrays simulation state for the kernel backend.
 
 :class:`SoAState` flattens the object model (routers owning
 ``OutputPort``/input-queue objects, per-node ``NIC`` objects) into
@@ -16,9 +16,8 @@ parallel arrays indexed by dense integer ids:
   stats/delivery so measurement code stays backend-neutral).
 
 Arrays holding counters that the audit path reduces over (occupancy,
-credits, sent counts) are plain Python lists in the hot loop --
-per-element indexing is what the event loop does, and list indexing
-beats numpy scalar indexing several-fold in CPython -- while the
+credits, sent counts) are plain Python lists, which the C kernel
+indexes directly and the Python escapes index cheaply, while the
 invariant audits view them through numpy for whole-array reductions
 (see :mod:`repro.sim.vec.check`).
 
@@ -235,8 +234,9 @@ class SoAState:
 
 def make_queue_len(st: SoAState):
     """A closure implementing the UGAL-L congestion signal over SoA
-    state -- bound as ``Network.queue_len`` in batched mode (instance
-    attributes shadow class methods, so object mode pays nothing)."""
+    state -- bound as ``Network.queue_len`` on the kernel backend
+    (instance attributes shadow class methods, so object mode pays
+    nothing)."""
     p_queued = st.p_queued
     row_port = st.row_port
     stride = st.NR

@@ -87,3 +87,25 @@ def all_diameter2(sf5, mlfm4, oft4, hyperx, ft2):
 def paper_trio(sf5, mlfm4, oft4):
     """The three topologies the paper evaluates, at test scale."""
     return [sf5, mlfm4, oft4]
+
+
+@pytest.fixture
+def fresh_loader():
+    """Reset the kernel module's load cache around a test, restoring the
+    (possibly successful) cached attempt afterwards so test order
+    doesn't matter."""
+    from repro.sim.vec import kernel as kernel_mod
+
+    saved = (kernel_mod._mod, kernel_mod._attempted, kernel_mod.load_error)
+    kernel_mod._reset_for_tests()
+    try:
+        yield
+    finally:
+        kernel_mod._mod, kernel_mod._attempted, kernel_mod.load_error = saved
+
+
+@pytest.fixture
+def no_kernel(fresh_loader, monkeypatch):
+    """The compiled kernel is unavailable for one test, as on a machine
+    without a C compiler: ``backend="kernel"`` falls back to object."""
+    monkeypatch.setenv("REPRO_NO_KERNEL", "1")

@@ -1,9 +1,9 @@
-"""Differential fuzzing across the three simulator backends.
+"""Differential fuzzing across the two simulator backends.
 
 The golden conformance suite pins a fixed case matrix; this harness
 closes the gap between those and "any configuration": seeded random
 (topology x routing x traffic x fault-schedule x checker) configs run on
-the object, batched and kernel backends, asserting an identical ordered
+the object and kernel backends, asserting an identical ordered
 delivery stream (sha256 fingerprint) and identical WindowStats.  A
 kernel-without-listener leg compares WindowStats only, which is the one
 configuration where the C delivery-accounting fast path is live -- the
@@ -33,6 +33,9 @@ from repro.topology import MLFM, OFT, SlimFly
 from repro.traffic import ShiftTraffic, Tornado, UniformRandom
 
 ITERS = int(os.environ.get("REPRO_FUZZ_ITERS", "6"))
+
+needs_kernel = pytest.mark.skipif(load_kernel() is None,
+                                  reason="compiled kernel unavailable")
 
 _TOPOLOGIES = {
     "sf:q=4": lambda: SlimFly(4),
@@ -120,30 +123,22 @@ def _run(cfg: dict, backend: str, listener: bool = True) -> dict:
     }
 
 
-def _backends() -> list:
-    backends = ["object", "batched"]
-    if load_kernel() is not None:
-        backends.append("kernel")
-    return backends
-
-
 def _diverges(cfg: dict) -> list:
-    """Run *cfg* on every backend; return human-readable mismatches."""
+    """Run *cfg* on both backends; return human-readable mismatches."""
     ref = _run(cfg, "object")
+    got = _run(cfg, "kernel")
     problems = []
-    for backend in _backends()[1:]:
-        got = _run(cfg, backend)
-        if got["digest"] != ref["digest"]:
+    if got["digest"] != ref["digest"]:
+        problems.append(
+            f"kernel: delivery stream diverged "
+            f"({ref['delivered']} vs {got['delivered']} delivered)"
+        )
+    for field, want in ref["stats"].items():
+        if got["stats"][field] != want:
             problems.append(
-                f"{backend}: delivery stream diverged "
-                f"({ref['delivered']} vs {got['delivered']} delivered)"
+                f"kernel: stats.{field} {want!r} -> "
+                f"{got['stats'][field]!r}"
             )
-        for field, want in ref["stats"].items():
-            if got["stats"][field] != want:
-                problems.append(
-                    f"{backend}: stats.{field} {want!r} -> "
-                    f"{got['stats'][field]!r}"
-                )
     return problems
 
 
@@ -162,6 +157,7 @@ def _shrink(cfg: dict) -> dict:
     return current
 
 
+@needs_kernel
 @pytest.mark.parametrize("iteration", range(ITERS))
 def test_backends_agree_on_random_config(iteration):
     cfg = _random_config(20_260_800 + iteration)
@@ -175,8 +171,7 @@ def test_backends_agree_on_random_config(iteration):
         )
 
 
-@pytest.mark.skipif(load_kernel() is None,
-                    reason="compiled kernel unavailable")
+@needs_kernel
 @pytest.mark.parametrize("iteration", range(min(ITERS, 4)))
 def test_kernel_deliver_fast_matches_object_stats(iteration):
     # No listener, no checker: the only configuration where the C

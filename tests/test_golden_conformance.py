@@ -3,8 +3,8 @@
 The committed fingerprints pin the simulator's end-to-end behaviour --
 full WindowStats plus a digest over the ordered delivery stream -- for
 every tiny-scale topology x routing combination.  Serial, process-pool,
-legacy-routing, checker-enabled and batched-backend runs must all
-reproduce them bit-identically; an intended behaviour change
+legacy-routing, checker-enabled, kernel-backend and kernel-fallback runs
+must all reproduce them bit-identically; an intended behaviour change
 regenerates the goldens
 (``python -m repro.experiments.conformance --write``) so the diff is
 reviewed with the change that caused it.
@@ -12,6 +12,7 @@ reviewed with the change that caused it.
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -53,28 +54,6 @@ def test_checker_preserves_physics(golden, case_key):
     # violation, and the checked run's observable behaviour (stats and
     # delivery stream) is identical to the unchecked golden.
     got = conformance.run_case(case_key, check=True)
-    problems = conformance.diff_fingerprints({case_key: golden[case_key]},
-                                             {case_key: got})
-    assert not problems, "\n".join(problems)
-
-
-@pytest.mark.parametrize("case_key", conformance.CASE_KEYS)
-def test_batched_backend_matches_golden(golden, case_key):
-    # The tentpole contract of the batched backend: every committed
-    # fingerprint -- WindowStats and the ordered delivery stream, which
-    # encodes RNG draw order and every arbitration decision -- is
-    # reproduced bit-identically by the struct-of-arrays engine.
-    got = conformance.run_case(case_key, backend="batched")
-    problems = conformance.diff_fingerprints({case_key: golden[case_key]},
-                                             {case_key: got})
-    assert not problems, "\n".join(problems)
-
-
-@pytest.mark.parametrize("case_key", SPOT_CASES)
-def test_checked_batched_matches_golden(golden, case_key):
-    # The audit-based BatchedChecker must not perturb event order:
-    # checked batched runs reproduce the goldens too.
-    got = conformance.run_case(case_key, check=True, backend="batched")
     problems = conformance.diff_fingerprints({case_key: golden[case_key]},
                                              {case_key: got})
     assert not problems, "\n".join(problems)
@@ -126,6 +105,26 @@ def test_kernel_no_listener_stats_match_golden(golden, case_key):
     assert not problems, "\n".join(problems)
 
 
+def _fallback_run(run, **kwargs):
+    """*run* with ``backend="kernel"`` while the kernel is unavailable:
+    exactly one RuntimeWarning, then the object engine."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = run(backend="kernel", **kwargs)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    return got
+
+
+@pytest.mark.parametrize("case_key", conformance.CASE_KEYS)
+def test_kernel_fallback_checked_matches_golden(golden, case_key, no_kernel):
+    # No compiler: backend="kernel" falls back to the object engine,
+    # built with the object invariant checker, and every golden holds.
+    got = _fallback_run(conformance.run_case, case_key=case_key, check=True)
+    problems = conformance.diff_fingerprints({case_key: golden[case_key]},
+                                             {case_key: got})
+    assert not problems, "\n".join(problems)
+
+
 @pytest.mark.parametrize("case_key", SPOT_CASES)
 def test_legacy_routing_matches_golden(golden, case_key):
     got = conformance.run_case(case_key, compiled=False)
@@ -157,19 +156,25 @@ def fault_golden():
 @pytest.mark.parametrize("check,backend", [
     (False, "object"),
     (True, "object"),
-    (False, "batched"),
-    (True, "batched"),
     pytest.param(False, "kernel", marks=needs_kernel),
     pytest.param(True, "kernel", marks=needs_kernel),
 ])
 def test_fault_case_matches_golden(fault_golden, check, backend):
     # The deterministic fault-schedule run (fail + recover + seeded
     # drip, mid-measurement) must reproduce the committed fingerprint
-    # -- delivery stream, stats AND reroute counts -- on every backend,
+    # -- delivery stream, stats AND reroute counts -- on both backends,
     # checked and unchecked.  The kernel rows exercise the fault
     # divert escape (ENTER on a dead port) and the fail-time drain
     # through the engine's cold-path mirrors.
     got = conformance.run_fault_case(check=check, backend=backend)
+    problems = conformance.diff_fault_fingerprint(fault_golden, got)
+    assert not problems, "\n".join(problems)
+
+
+def test_fault_case_kernel_fallback_matches_golden(fault_golden, no_kernel):
+    # The fault golden on the no-compiler fallback, under the object
+    # checker: the fault manager takes the object drain/divert paths.
+    got = _fallback_run(conformance.run_fault_case, check=True)
     problems = conformance.diff_fault_fingerprint(fault_golden, got)
     assert not problems, "\n".join(problems)
 

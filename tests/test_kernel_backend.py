@@ -5,20 +5,26 @@ Bit-identity of the kernel backend is pinned by the golden conformance
 suite (tests/test_golden_conformance.py) and the near-saturation
 equivalence matrix (tests/test_vec_backend.py); this file covers what
 those cannot: the build/load machinery, the forced-failure fallback to
-the batched backend, and the kernel-only observability surface
+the object engine, and the kernel-only observability surface
 (``kernel_stats``, the escape split).
 """
 
 from __future__ import annotations
 
+import gc
+import sys
+import warnings
+
 import pytest
 
 from repro.routing import MinimalRouting, UGALRouting
 from repro.sim import Network, SimConfig
+from repro.sim.engine import Engine
+from repro.sim.invariants import CheckedNIC, CheckedRouter, InvariantChecker
 from repro.sim.vec import kernel as kernel_mod
-from repro.sim.vec.engine import BatchedEngine
 from repro.topology import SlimFly
 from repro.traffic import UniformRandom
+from repro.workload import build_workload
 
 needs_kernel = pytest.mark.skipif(
     kernel_mod.load_kernel() is None,
@@ -26,33 +32,20 @@ needs_kernel = pytest.mark.skipif(
 )
 
 
-@pytest.fixture
-def fresh_loader():
-    """Reset the module-level load cache around a test, restoring the
-    (possibly successful) cached attempt afterwards so test order
-    doesn't matter."""
-    saved = (kernel_mod._mod, kernel_mod._attempted, kernel_mod.load_error)
-    kernel_mod._reset_for_tests()
-    try:
-        yield
-    finally:
-        kernel_mod._mod, kernel_mod._attempted, kernel_mod.load_error = saved
-
-
 class TestGracefulDegradation:
-    def test_forced_load_failure_warns_and_falls_back(
-        self, fresh_loader, monkeypatch
-    ):
-        # The satellite contract: no compiler (forced here via the env
-        # gate) means ONE clear warning and a working batched run, not
-        # an error.
-        monkeypatch.setenv("REPRO_NO_KERNEL", "1")
+    def test_forced_load_failure_warns_and_falls_back(self, no_kernel):
+        # No compiler (forced here via the env gate) means ONE clear
+        # warning and a working object-engine run, not an error.
         topo = SlimFly(5)
-        with pytest.warns(RuntimeWarning, match="falling back"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             net = Network(topo, MinimalRouting(topo),
                           SimConfig(backend="kernel"))
-        assert net.backend_in_use == "batched"
-        assert type(net.engine) is BatchedEngine
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "falling back to the object engine" in str(caught[0].message)
+        assert net.backend_in_use == "object"
+        assert type(net.engine) is Engine
+        assert net._vec is None
         assert kernel_mod.load_error == "disabled by REPRO_NO_KERNEL"
         # The degraded network still simulates.
         stats = net.run_synthetic(
@@ -60,6 +53,24 @@ class TestGracefulDegradation:
             warmup_ns=200.0, measure_ns=400.0, seed=0, drain=True,
         )
         assert stats.ejected_packets > 0
+
+    def test_checked_fallback_uses_object_checker(self, no_kernel):
+        # The backend is decided before the routers are built, so a
+        # checked fallback run gets the transition-level object checker
+        # (Checked* routers and NICs), not the SoA audit checker.
+        topo = SlimFly(5)
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            net = Network(topo, MinimalRouting(topo),
+                          SimConfig(backend="kernel", check=True))
+        assert net.backend_in_use == "object"
+        assert type(net.checker) is InvariantChecker
+        assert all(isinstance(r, CheckedRouter) for r in net.routers)
+        assert all(isinstance(n, CheckedNIC) for n in net.nics)
+        net.run_synthetic(
+            UniformRandom(topo.num_nodes), load=0.3,
+            warmup_ns=200.0, measure_ns=400.0, seed=0, drain=True,
+        )
+        net.checker.verify_quiescent()
 
     def test_load_failure_is_cached_per_process(self, fresh_loader,
                                                 monkeypatch):
@@ -155,7 +166,7 @@ class TestKernelEngine:
 
     def test_checked_kernel_run_audits(self):
         # The audit-based checker runs over kernel state exactly as it
-        # does over batched state (same SoA arrays, same iter_pending).
+        # does in every checked kernel run (SoA arrays, iter_pending).
         net = self._net(check=True)
         net.run_synthetic(
             UniformRandom(net.topology.num_nodes), load=0.5,
@@ -186,3 +197,82 @@ class TestKernelEngine:
         assert eng.pending == 1  # the 'after' event survived the error
         eng.run()
         assert seen == ["before", "after"]
+
+
+@needs_kernel
+class TestKernelMemory:
+    """Repeated kernel runs in one process must not accumulate memory.
+
+    The C handlers own references by hand; a missing ``Py_DECREF`` on a
+    per-packet path would leak thousands of objects per run.  Each case
+    runs one small job ``RUNS`` times on a freshly built ``Network`` and
+    compares live counts after run 3 (warm caches) with run 8.
+    """
+
+    RUNS = 8
+
+    #: Tracked objects allowed to appear between run 3 and run 8
+    #: (measured: none).
+    OBJECT_SLACK = 16
+
+    @staticmethod
+    def _synthetic(topo):
+        net = Network(topo, UGALRouting(topo, seed=0),
+                      SimConfig(backend="kernel"))
+        net.run_synthetic(
+            UniformRandom(topo.num_nodes), load=0.6,
+            warmup_ns=300.0, measure_ns=900.0, seed=1, drain=True,
+        )
+        return net
+
+    @staticmethod
+    def _faulted_workload(topo):
+        v = min(topo.neighbors(0))
+        faults = (f"fail@500:0-{v}", f"recover@2500:0-{v}",
+                  "drip@800:n=2,every=300,seed=3")
+        net = Network(topo, UGALRouting(topo, seed=0),
+                      SimConfig(backend="kernel", faults=faults))
+        net.run_workload(
+            build_workload("ring-allreduce", topo.num_nodes, 2048, ranks=16)
+        )
+        return net
+
+    def _live_counts(self, build):
+        topo = SlimFly(5)
+        counts = []
+        for _ in range(self.RUNS):
+            net = build(topo)
+            stats = net.engine.kernel_stats()
+            packets = net.stats.ejected_total
+            del net
+            gc.collect()
+            counts.append((len(gc.get_objects()), sys.getallocatedblocks()))
+        return counts, stats, packets
+
+    def _assert_flat(self, counts, packets):
+        (objs3, blocks3), (objs8, blocks8) = counts[2], counts[-1]
+        assert objs8 - objs3 <= self.OBJECT_SLACK, counts
+        # CPython's type-attribute cache keeps the attribute-name
+        # strings each run looks up (~20 blocks a run, bounded by the
+        # cache size), so blocks drift slightly.  One leaked block per
+        # packet would put five runs' worth of packets on top.
+        assert blocks8 - blocks3 < packets, counts
+
+    def test_fast_path_synthetic_run_does_not_leak(self, monkeypatch):
+        monkeypatch.delenv("REPRO_KERNEL_NO_FASTPATH", raising=False)
+        counts, stats, packets = self._live_counts(self._synthetic)
+        # Routing and delivery accounting stayed in C for every packet.
+        assert stats["fast_path"]["deliver"]["count"] == packets > 0
+        self._assert_flat(counts, packets)
+
+    def test_faulted_closed_loop_workload_does_not_leak(self):
+        counts, stats, packets = self._live_counts(self._faulted_workload)
+        # The Python escapes ran: scheduled CALLs (which hand the
+        # resident RNG/packet-id state out and back for mid-run sends),
+        # per-packet deliveries to the workload listener, and a divert
+        # at a dead port.
+        escapes = stats["escapes"]
+        assert escapes["call"]["count"] > 0
+        assert escapes["deliver"]["count"] == packets > 0
+        assert escapes["fault_divert"]["count"] > 0
+        self._assert_flat(counts, packets)

@@ -143,7 +143,7 @@ class TestStateHandoff:
     def test_mid_run_python_send_preserves_conformance(self):
         # Simulation-level proof: packets submitted from a *scheduled
         # CALL escape* mid-run (the path that hands the resident RNG
-        # state out to Python and back) leave kernel and batched runs
+        # state out to Python and back) leave kernel and object runs
         # bit-identical -- same delivery stream, same final RNG states.
         import hashlib
 
@@ -185,4 +185,4 @@ class TestStateHandoff:
                 routing._indirect._rng.getstate(),
             )
 
-        assert run("kernel") == run("batched")
+        assert run("kernel") == run("object")

@@ -77,7 +77,7 @@ class TestContentHash:
             "buffer_bytes_per_port": 50_000,
             "packet_bytes": 512,
             "check": True,
-            "backend": "batched",
+            "backend": "kernel",
             "faults": ["fail@600:0-1"],
             "fault_policy": "drop",
         }

@@ -395,7 +395,7 @@ class TestFaultSimulation:
         faults = (f"fail@2000:{u}-{v}", f"recover@9000:{u}-{v}")
         baseline = self._run_collective(sf5, check=False)
         obj = self._run_collective(sf5, faults, backend="object")
-        bat = self._run_collective(sf5, faults, backend="batched")
+        ker = self._run_collective(sf5, faults, backend="kernel")
         # Both checked backends agree on every observable of the
         # degraded run -- completion time, packet count and the fault
         # counters -- and the checker stayed clean (it raises on any
@@ -403,7 +403,7 @@ class TestFaultSimulation:
         for key in ("completion_ns", "packets", "messages",
                     "fault_events", "fault_reroutes", "fault_dropped",
                     "first_fault_ns"):
-            assert obj[key] == bat[key], key
+            assert obj[key] == ker[key], key
         assert obj["fault_events"] >= 1
         assert obj["first_fault_ns"] == pytest.approx(2000.0)
         # Losing a link mid-collective can only slow completion down.
@@ -417,10 +417,10 @@ class TestFaultSimulation:
         # the checked run's conservation law (delivered + in_flight +
         # dropped) holds to quiescence on both backends.
         obj = conformance.run_fault_case(check=True, policy="drop")
-        bat = conformance.run_fault_case(check=True, backend="batched",
+        ker = conformance.run_fault_case(check=True, backend="kernel",
                                          policy="drop")
         assert obj["faults"]["dropped"] > 0
         assert obj["faults"]["reroutes"] == 0
-        assert obj["digest"] == bat["digest"]
-        assert obj["faults"] == bat["faults"]
-        assert obj["delivered"] == bat["delivered"]
+        assert obj["digest"] == ker["digest"]
+        assert obj["faults"] == ker["faults"]
+        assert obj["delivered"] == ker["delivered"]

@@ -68,19 +68,39 @@ class TestValidation:
         job_from_request({"kind": "probe"})  # probes don't need one
 
     def test_jobs_carry_simulator_backend(self):
-        # The config dict flows verbatim into SimConfig, so served jobs
-        # can select the batched backend -- and two jobs differing only
-        # in backend must neither coalesce nor share a cache entry
+        # The config dict flows into SimConfig, so served jobs can
+        # select the kernel backend -- and two jobs differing only in
+        # backend must neither coalesce nor share a cache entry
         # (per-backend caching keeps conformance regressions visible).
         body = {"kind": "sweep", "topology": "sf:q=5",
-                "config": {"backend": "batched"}}
+                "config": {"backend": "kernel"}}
         job = job_from_request(body)
-        assert job.sim_config().backend == "batched"
+        assert job.sim_config().backend == "kernel"
         other = job_from_request(
             {"kind": "sweep", "topology": "sf:q=5",
              "config": {"backend": "object"}}
         )
         assert job.content_hash() != other.content_hash()
+
+    @pytest.mark.parametrize("config", [
+        {"backend": "bogus"},
+        {"no_such_field": 1},
+        {"faults": ["explode@1:0-1"]},
+    ])
+    def test_invalid_simulator_config_is_rejected_up_front(self, config):
+        with pytest.raises(ValidationError, match="invalid simulator config"):
+            job_from_request({"kind": "sweep", "topology": "sf:q=5",
+                              "config": config})
+
+    def test_partial_config_hashes_like_its_defaults(self):
+        # {"backend": "object"} is the default config spelled out in
+        # part: same simulation, so same content hash (it coalesces and
+        # shares a cache entry with a job that sends no config).
+        bare = job_from_request({"kind": "sweep", "topology": "sf:q=5"})
+        partial = job_from_request({"kind": "sweep", "topology": "sf:q=5",
+                                    "config": {"backend": "object"}})
+        assert partial.config == bare.config
+        assert partial.content_hash() == bare.content_hash()
 
     def test_tenant_header(self):
         assert tenant_from_headers({}) == "public"

@@ -1,6 +1,6 @@
-"""Equivalence and API tests for the batched simulator backend.
+"""Equivalence and API tests for the struct-of-arrays (kernel) backend.
 
-The golden conformance suite pins the batched engine against committed
+The golden conformance suite pins the kernel against committed
 fingerprints at one operating point; these tests stress the equivalence
 where the backends are most likely to drift -- near saturation, where
 credit stalls, wake-up elision and arbitration pressure are maximal --
@@ -22,8 +22,8 @@ from repro.traffic import AllToAll, UniformRandom
 from repro.workload.collectives import ring_allgather
 from repro.workload.driver import run_workload
 
-#: Result keys that legitimately differ across backends: the batched
-#: engine elides bookkeeping events (fewer executed events for the same
+#: Result keys that legitimately differ across backends: the kernel
+#: elides bookkeeping events (fewer executed events for the same
 #: physics) and wall-clock is wall-clock.
 BACKEND_NEUTRAL_EXCLUDES = {"events", "driver_wall_s"}
 
@@ -32,9 +32,8 @@ needs_kernel = pytest.mark.skipif(
     reason="compiled kernel unavailable (no compiler or REPRO_NO_KERNEL set)",
 )
 
-#: The struct-of-arrays backends: the pure-Python loop and its compiled
-#: twin.  Every equivalence/API test runs over both.
-VEC_BACKENDS = ["batched", pytest.param("kernel", marks=needs_kernel)]
+#: The struct-of-arrays backend every equivalence/API test runs over.
+VEC_BACKENDS = [pytest.param("kernel", marks=needs_kernel)]
 
 
 def _tiny(key: str):
@@ -53,7 +52,7 @@ def _stats_dict(stats) -> dict:
 
 
 class TestNearSaturationEquivalence:
-    """Both backends must agree exactly where contention is heaviest."""
+    """Both engines must agree exactly where contention is heaviest."""
 
     @pytest.mark.parametrize("vec_backend", VEC_BACKENDS)
     @pytest.mark.parametrize("kind", ["min", "ugal"])
@@ -120,18 +119,19 @@ class TestFiniteRunsEquivalence:
             )
         assert results[0] == results[1]
 
-    def test_batched_executes_fewer_events(self):
+    @needs_kernel
+    def test_kernel_executes_fewer_events(self):
         # The elision is the point: same physics, fewer heap events.
         cfg = _tiny("sf-floor")
         events = {}
-        for backend in ("object", "batched"):
+        for backend in ("object", "kernel"):
             net = _net(cfg, "min", backend)
             net.run_synthetic(
                 UniformRandom(net.topology.num_nodes), load=0.4,
                 warmup_ns=300.0, measure_ns=1200.0, seed=1, drain=True,
             )
             events[backend] = net.engine.events_executed
-        assert events["batched"] < events["object"]
+        assert events["kernel"] < events["object"]
 
 
 class TestCheckedBatchedRuns:
@@ -151,10 +151,11 @@ class TestCheckedBatchedRuns:
         net.checker.verify_quiescent()
         assert net.stats.injected_total == net.stats.ejected_total
 
+    @needs_kernel
     def test_checker_counters_feed_cli_summary(self):
         # The CLI's --check summary reads these attributes.
         cfg = _tiny("sf-floor")
-        net = _net(cfg, "min", "batched", check=True)
+        net = _net(cfg, "min", "kernel", check=True)
         net.run_synthetic(
             UniformRandom(net.topology.num_nodes), load=0.3,
             warmup_ns=300.0, measure_ns=600.0, seed=2, drain=True,
@@ -219,8 +220,7 @@ class TestEngineAPI:
         assert eng.run() == 0
 
     def test_sparse_far_future_event(self, backend):
-        # Exercises the calendar queue's empty-bucket skip path (and the
-        # kernel heap's long-gap pop).
+        # Exercises the kernel heap's long-gap pop.
         eng = self._engine(backend)
         seen = []
         eng.schedule_at(0.5, seen.append, "near")
@@ -235,7 +235,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(backend="vectorised")
 
-    @pytest.mark.parametrize("backend", ["batched", "kernel"])
+    def test_retired_batched_backend_rejected(self):
+        # The pure-Python SoA loop is gone; asking for it is a clear
+        # error naming what remains, not a silent alias.
+        with pytest.raises(ValueError, match="'object' or 'kernel'"):
+            SimConfig(backend="batched")
+
+    @pytest.mark.parametrize("backend", ["object", "kernel"])
     def test_backend_flows_through_orchestrate_config_dict(self, backend):
         from repro.orchestrate.job import sim_config_dict
 
